@@ -3,10 +3,10 @@
 // update site sees null pointers) and runtime-ENABLED, reporting both
 // throughputs and the relative overhead — the subsystem's contract is that
 // armed telemetry costs < 2% on the per-event hot path. A third phase runs
-// a sharded adaptive workload so the exported snapshot carries per-shard
-// queue, watermark-lag and migration series, then writes the full JSON
-// snapshot (with the lifecycle trace) to --snapshot=PATH and prints the
-// explain-style report.
+// a sharded partial-sharing workload on a bursty stream so the exported
+// snapshot carries per-shard queue, watermark-lag and cluster-mode series,
+// then writes the full JSON snapshot (with the lifecycle trace) to
+// --snapshot=PATH and prints the explain-style report.
 //
 // JSON rows: config "telemetry_off" / "telemetry_on" carry events_per_sec
 // (diffed by scripts/perf_smoke.py against BENCH_telemetry_baseline.json);
@@ -17,7 +17,7 @@
 // the embedded HTTP endpoint up and a scraper thread hammering /metrics,
 // /healthz and /queries throughout — the observability service's contract
 // is that concurrent scrapes ride on snapshots and atomics, never the hot
-// path, so this row should match "sharded_adaptive" within noise.
+// path, so this row should match "sharded_partial" within noise.
 //
 // Flags: --rate/--duration size the stream, --reps best-of repetitions,
 // --snapshot=PATH writes the JSON snapshot, --sharded=false skips phase 3,
@@ -54,10 +54,10 @@ QuerySpec HotpathQuery(Catalog* catalog) {
   return std::move(spec).value();
 }
 
-// Shareable window-diverse cluster (same Kleene core, different WITHINs)
-// that the adaptive planner arbitrates under a bursty load — the phase-3
+// Window-diverse cluster (same Kleene core, different WITHINs) that
+// PlanSharing merges into one partial-sharing runtime — the phase-3
 // workload that populates the sharing/runtime telemetry series.
-std::vector<QuerySpec> AdaptiveWorkload(Catalog* catalog) {
+std::vector<QuerySpec> PartialWorkload(Catalog* catalog) {
   const char* texts[] = {
       "RETURN sector, COUNT(*), SUM(S.price) PATTERN Stock S+ "
       "WHERE [company, sector] AND S.price > NEXT(S).price "
@@ -106,7 +106,7 @@ int Run(const Flags& flags) {
       "Telemetry overhead: armed instruments vs runtime-disabled",
       "One hot-path Kleene query on the stock stream, best-of-" +
           std::to_string(reps) +
-          " per mode; then a sharded adaptive workload to populate the "
+          " per mode; then a sharded partial-sharing workload to populate the "
           "runtime/sharing series.",
       "telemetry_on within 2% of telemetry_off (sharded relaxed counters, "
       "null-checked call sites).");
@@ -171,11 +171,7 @@ int Run(const Flags& flags) {
     options.num_shards = 2;
     options.batch_size = 32;
     options.heartbeat_events = 64;
-    options.workload.adaptive.enabled = true;
-    options.workload.adaptive.observation_windows = 3;
-    options.workload.adaptive.min_windows_between_migrations = 4;
-    options.workload.adaptive.hysteresis = 1.2;
-    std::vector<QuerySpec> workload = AdaptiveWorkload(&shared_catalog);
+    std::vector<QuerySpec> workload = PartialWorkload(&shared_catalog);
 
     if (sharded) {
       reg.Reset();
@@ -184,14 +180,14 @@ int Run(const Flags& flags) {
                                                 options);
       GRETA_CHECK(rt.ok());
       RunResult r = RunStream(rt.value().get(), bursty_stream);
-      table.AddRow({"sharded_adaptive", r.ThroughputCell(), r.MemoryCell(),
+      table.AddRow({"sharded_partial", r.ThroughputCell(), r.MemoryCell(),
                     FormatCount(static_cast<double>(r.rows_emitted))});
       std::printf(
-          "{\"bench\":\"telemetry\",\"config\":\"sharded_adaptive\","
+          "{\"bench\":\"telemetry\",\"config\":\"sharded_partial\","
           "\"events\":%zu,\"events_per_sec\":%.1f,\"peak_bytes\":%zu,"
-          "\"rows\":%zu,\"migrations\":%zu}\n",
+          "\"rows\":%zu}\n",
           bursty_stream.size(), r.throughput_eps, r.peak_memory_bytes,
-          r.rows_emitted, rt.value()->TotalMigrations());
+          r.rows_emitted);
 
       if (!snapshot_path.empty()) {
         std::string json =
@@ -214,7 +210,7 @@ int Run(const Flags& flags) {
     if (serve) {
       // Same workload, endpoint up, scraper thread hammering the routes
       // for the whole replay — scrapes must ride on snapshots/atomics
-      // only, so throughput should match "sharded_adaptive" within noise.
+      // only, so throughput should match "sharded_partial" within noise.
       reg.Reset();
       reg.set_enabled(true);
       auto rt = runtime::ShardedRuntime::Create(&shared_catalog, workload,

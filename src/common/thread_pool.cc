@@ -4,11 +4,11 @@
 
 namespace greta {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
-  pinned_.resize(num_threads);
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
+ThreadPool::ThreadPool(size_t num_workers) {
+  if (num_workers == 0) num_workers = 1;
+  pinned_.resize(num_workers);
+  threads_.reserve(num_workers);
+  for (size_t i = 0; i < num_workers; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -22,16 +22,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  GRETA_CHECK(task != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    GRETA_CHECK(!shutdown_);
-    queue_.push_back(std::move(task));
-  }
-  task_ready_.notify_one();
-}
-
 void ThreadPool::SubmitPinned(size_t worker, std::function<void()> task) {
   GRETA_CHECK(task != nullptr);
   GRETA_CHECK(worker < pinned_.size());
@@ -39,18 +29,10 @@ void ThreadPool::SubmitPinned(size_t worker, std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     GRETA_CHECK(!shutdown_);
     pinned_[worker].push_back(std::move(task));
-    ++pinned_pending_;
   }
   // The pinned worker may be the one waiting; wake everyone rather than
   // tracking which condvar waiter maps to which thread.
   task_ready_.notify_all();
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] {
-    return queue_.empty() && pinned_pending_ == 0 && in_flight_ == 0;
-  });
 }
 
 void ThreadPool::WorkerLoop(size_t index) {
@@ -59,27 +41,13 @@ void ThreadPool::WorkerLoop(size_t index) {
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_ready_.wait(lock, [this, index] {
-        return shutdown_ || !queue_.empty() || !pinned_[index].empty();
+        return shutdown_ || !pinned_[index].empty();
       });
-      if (shutdown_ && queue_.empty() && pinned_[index].empty()) return;
-      if (!pinned_[index].empty()) {
-        task = std::move(pinned_[index].front());
-        pinned_[index].pop_front();
-        --pinned_pending_;
-      } else {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      ++in_flight_;
+      if (pinned_[index].empty()) return;  // shutdown, nothing left
+      task = std::move(pinned_[index].front());
+      pinned_[index].pop_front();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && pinned_pending_ == 0 && in_flight_ == 0) {
-        idle_.notify_all();
-      }
-    }
   }
 }
 

@@ -10,49 +10,33 @@
 
 namespace greta {
 
-/// A fixed-size worker pool used for parallel processing of event trend
-/// groups (Section 7: "the grouping clause partitions the stream into
-/// sub-streams that are processed in parallel independently from each
-/// other"). Tasks are arbitrary closures; WaitIdle() provides the barrier at
-/// stream-transaction boundaries.
-///
-/// Pinned tasks (src/runtime/ sharded execution): SubmitPinned(w, task)
-/// guarantees the task runs on worker `w`, so per-shard state touched only
-/// by that shard's drain loop needs no further synchronization. A worker
-/// prefers its pinned queue over the shared queue; long-running pinned
-/// tasks (e.g. a queue drain loop that exits on queue close) simply occupy
-/// their worker until they return.
+/// A fixed-size pool of pinned workers (src/runtime/ sharded execution):
+/// SubmitPinned(w, task) guarantees the task runs on worker `w`, so
+/// per-shard state touched only by that shard's drain loop needs no further
+/// synchronization. Long-running tasks (e.g. a queue drain loop that exits
+/// on queue close) simply occupy their worker until they return; the
+/// destructor runs every queued task, then joins the workers.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (at least 1).
-  explicit ThreadPool(size_t num_threads);
+  /// Spawns `num_workers` workers (at least 1).
+  explicit ThreadPool(size_t num_workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for execution on any worker.
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a task that must execute on worker `worker` (< num_threads).
+  /// Enqueues a task that must execute on worker `worker` (< num_workers).
   void SubmitPinned(size_t worker, std::function<void()> task);
 
-  /// Blocks until every submitted task (shared and pinned) has finished.
-  void WaitIdle();
-
-  size_t num_threads() const { return threads_.size(); }
+  size_t num_workers() const { return threads_.size(); }
 
  private:
   void WorkerLoop(size_t index);
 
   std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
   std::vector<std::deque<std::function<void()>>> pinned_;  // per worker
   std::vector<std::thread> threads_;
-  size_t in_flight_ = 0;
-  size_t pinned_pending_ = 0;  // total across pinned_ queues
   bool shutdown_ = false;
 };
 

@@ -67,9 +67,6 @@ GretaEngine::GretaEngine(const Catalog* catalog,
     }
     route_table_[type] = &ids;
   }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
 #if GRETA_TELEMETRY
   // Arm the instruments once; the hot path only tests cached pointers.
   telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
@@ -133,8 +130,8 @@ GretaEngine::~GretaEngine() {
   // Partition map overhead is charged to the (possibly shared) tracker at
   // GetOrCreatePartition; the pane stores release their own bytes on
   // destruction, but the partition overhead must be released here or a
-  // workload-wide tracker would keep stale bytes after this engine is
-  // retired mid-run (adaptive migration, src/sharing/).
+  // workload-wide tracker (src/sharing/, src/runtime/) would keep stale
+  // bytes after this engine is destroyed.
   for (const auto& [key, partition] : partitions_) {
     (void)partition;
     memory_->Release(sizeof(Partition) + key.size() * sizeof(Value));
@@ -148,9 +145,6 @@ Status GretaEngine::Process(const Event& e) {
     return Status::InvalidArgument(
         "events must arrive in-order by timestamp (Section 2)");
   }
-  if (pool_ != nullptr && !batch_.empty() && e.time != batch_ts_) {
-    FlushBatch();
-  }
   if (!next_close_valid_ && !plan_->window.unbounded()) {
     next_close_ = FirstWindowOf(e.time, plan_->window);
     next_close_valid_ = true;
@@ -160,12 +154,7 @@ Status GretaEngine::Process(const Event& e) {
   saw_events_ = true;
   ++stats_.events_processed;
 
-  if (pool_ != nullptr) {
-    batch_.push_back(e);
-    batch_ts_ = e.time;
-  } else {
-    Route(e);
-  }
+  Route(e);
   stats_.peak_bytes = memory_->peak_bytes();
   return Status::Ok();
 }
@@ -175,14 +164,6 @@ Status GretaEngine::ProcessBatch(const EventBatch& batch) {
   if (!batch.time_ordered() || (saw_events_ && batch.time(0) < watermark_)) {
     return Status::InvalidArgument(
         "events must arrive in-order by timestamp (Section 2)");
-  }
-  if (pool_ != nullptr) {
-    // Parallel mode keys its micro-batching off individual Process() calls.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Status s = Process(batch.ToEvent(i));
-      if (!s.ok()) return s;
-    }
-    return Status::Ok();
   }
   if (!next_close_valid_ && !plan_->window.unbounded()) {
     next_close_ = FirstWindowOf(batch.time(0), plan_->window);
@@ -211,9 +192,6 @@ Status GretaEngine::ProcessBatch(const EventBatch& batch) {
 
 Status GretaEngine::AdvanceWatermark(Ts now) {
   if (saw_events_ && now <= watermark_) return Status::Ok();
-  // Events at time == `now` may still arrive, so a micro-batch of that
-  // timestamp stays open; earlier batches can no longer grow.
-  if (pool_ != nullptr && !batch_.empty() && now > batch_ts_) FlushBatch();
   AdvanceTime(now);
   if (saw_events_) watermark_ = now;
   return Status::Ok();
@@ -343,8 +321,8 @@ void GretaEngine::EmitWindow(WindowId wid) {
     }
   }
 
-  // Release per-window state and, in the same walk, snapshot the window
-  // observation (cumulative graph counters -> deltas since the last close).
+  // Release per-window state and, in the same walk, snapshot the cumulative
+  // graph counters (-> deltas since the last close).
   size_t total_vertices = 0;
   size_t total_edges = 0;
   [[maybe_unused]] uint64_t batch_fb[GretaGraph::kNumBatchFallbackReasons] = {
@@ -373,20 +351,12 @@ void GretaEngine::EmitWindow(WindowId wid) {
     }
   }
 
-  WindowObservation obs;
-  obs.wid = wid;
-  obs.close_time = WindowCloseTime(wid, plan_->window);
-  obs.events_routed = obs_events_routed_;
-  obs.vertices_created = total_vertices - obs_prev_vertices_;
-  obs.edges_traversed = total_edges - obs_prev_edges_;
+  const size_t events_routed = obs_events_routed_;
+  const size_t vertices_created = total_vertices - obs_prev_vertices_;
+  const size_t edges_traversed = total_edges - obs_prev_edges_;
   obs_events_routed_ = 0;
   obs_prev_vertices_ = total_vertices;
   obs_prev_edges_ = total_edges;
-  constexpr size_t kMaxUndrainedObservations = 256;
-  if (window_obs_.size() >= kMaxUndrainedObservations) {
-    window_obs_.pop_front();
-  }
-  window_obs_.push_back(obs);
 
   // Per-query EXPLAIN ANALYZE tallies: the same per-close deltas attributed
   // to every query slot of the (possibly merged) runtime. Plain members,
@@ -394,17 +364,17 @@ void GretaEngine::EmitWindow(WindowId wid) {
   const uint64_t emit_span_ns = telemetry::SteadyNowNs() - emit_start_ns;
   for (QueryExecStats& qs : query_stats_) {
     qs.windows_closed += 1;
-    qs.events_routed += obs.events_routed;
-    qs.vertices_created += obs.vertices_created;
-    qs.edges_traversed += obs.edges_traversed;
+    qs.events_routed += events_routed;
+    qs.vertices_created += vertices_created;
+    qs.edges_traversed += edges_traversed;
     qs.emit_ns += emit_span_ns;
   }
 
 #if GRETA_TELEMETRY
   GRETA_TM_ADD(tm_.windows_closed, 1);
-  GRETA_TM_ADD(tm_.events_routed, obs.events_routed);
-  GRETA_TM_ADD(tm_.vertices_created, obs.vertices_created);
-  GRETA_TM_ADD(tm_.edges_traversed, obs.edges_traversed);
+  GRETA_TM_ADD(tm_.events_routed, events_routed);
+  GRETA_TM_ADD(tm_.vertices_created, vertices_created);
+  GRETA_TM_ADD(tm_.edges_traversed, edges_traversed);
   const uint64_t deliveries = tm_deliveries_ - tm_prev_deliveries_;
   tm_prev_deliveries_ = tm_deliveries_;
   for (size_t k = 0; k < 3; ++k) {
@@ -437,19 +407,13 @@ void GretaEngine::EmitWindow(WindowId wid) {
   if (tm_.trace != nullptr) {
     telemetry::TraceEvent e;
     e.kind = telemetry::TraceKind::kWindowClose;
-    e.ts = obs.close_time;
+    e.ts = WindowCloseTime(wid, plan_->window);
     e.wid = static_cast<int64_t>(wid);
     e.a = tm_rows;
-    e.b = obs.vertices_created;
+    e.b = vertices_created;
     tm_.trace->Emit(e);
   }
 #endif
-}
-
-std::vector<WindowObservation> GretaEngine::TakeWindowObservations() {
-  std::vector<WindowObservation> out(window_obs_.begin(), window_obs_.end());
-  window_obs_.clear();
-  return out;
 }
 
 void GretaEngine::Route(const Event& e) {
@@ -667,58 +631,7 @@ void GretaEngine::DeliverBatchToPartition(Partition* p,
   }
 }
 
-void GretaEngine::FlushBatch() {
-  if (batch_.empty()) return;
-  // Serial routing builds per-partition batches (partition creation and
-  // broadcast buffering mutate shared state); delivery then runs in
-  // parallel, one task per partition — the paper's parallel processing of
-  // independent event trend groups (Section 7).
-  std::unordered_map<Partition*, std::vector<Event>> per_partition;
-  for (const Event& e : batch_) {
-    if (static_cast<size_t>(e.type) >= route_table_.size() ||
-        route_table_[e.type] == nullptr) {
-      continue;  // Irrelevant type.
-    }
-    ++obs_events_routed_;
-    const std::vector<AttrId>& ids = *route_table_[e.type];
-    bool full = true;
-    for (AttrId id : ids) full &= (id != kInvalidAttr);
-    if (full) {
-      route_key_.clear();
-      for (AttrId id : ids) route_key_.push_back(e.attr(id));
-      Partition* p = GetOrCreatePartition(route_key_, e.seq);
-      per_partition[p].push_back(e);
-    } else {
-      BroadcastEvent b;
-      b.event = e;
-      b.has_attr.resize(ids.size());
-      b.key_values.resize(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        b.has_attr[i] = (ids[i] != kInvalidAttr);
-        if (b.has_attr[i]) b.key_values[i] = e.attr(ids[i]);
-      }
-      for (auto& [key, partition] : partitions_) {
-        if (BroadcastMatches(b, key)) {
-          per_partition[partition.get()].push_back(e);
-        }
-      }
-      broadcast_buffer_.push_back(std::move(b));
-    }
-  }
-  for (auto& [partition, events] : per_partition) {
-    Partition* p = partition;
-    std::vector<Event>* ev = &events;
-    GRETA_TM(tm_deliveries_ += ev->size());
-    pool_->Submit([this, p, ev] {
-      for (const Event& e : *ev) DeliverToPartition(p, e);
-    });
-  }
-  pool_->WaitIdle();
-  batch_.clear();
-}
-
 Status GretaEngine::Flush() {
-  if (pool_ != nullptr) FlushBatch();
   if (!saw_events_) return Status::Ok();
   if (plan_->window.unbounded()) {
     if (!flushed_unbounded_) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/memory.h"
-#include "common/thread_pool.h"
 #include "core/engine_interface.h"
 #include "core/greta_graph.h"
 #include "core/plan.h"
@@ -20,9 +19,6 @@ namespace greta {
 struct EngineOptions {
   CounterMode counter_mode = CounterMode::kExact;
   Semantics semantics = Semantics::kSkipTillAnyMatch;
-  /// >1 enables parallel processing of event trend groups (Section 7);
-  /// events of one timestamp are micro-batched and dispatched per partition.
-  int num_threads = 1;
   int max_windows_per_event = 64;
   /// Ablation knob (bench_ablation): disable tree-indexed predecessor range
   /// queries and fall back to scan + filter.
@@ -98,13 +94,6 @@ class GretaEngine : public EngineInterface {
   Status Flush() override;
   std::vector<ResultRow> TakeResults() override;
 
-  /// Per-window observation hook (adaptive sharing, src/sharing/): one
-  /// entry per closed window with the events routed, vertices created and
-  /// propagation edges traversed since the previous close. O(partitions)
-  /// at window close (piggybacked on the emit walk), O(1) per event. The
-  /// backlog is capped at 256 undrained windows (oldest dropped).
-  std::vector<WindowObservation> TakeWindowObservations() override;
-
   /// Cumulative per-query EXPLAIN ANALYZE tallies, one slot per query slot
   /// (slot index == query_id; the sharing layer re-maps slots to workload
   /// query ids). Updated once per window close with plain members on the
@@ -131,8 +120,8 @@ class GretaEngine : public EngineInterface {
 
   /// Recomputes the aggregate counters (vertices/edges/work/peak) from the
   /// graphs NOW. stats() is otherwise refreshed lazily at TakeResults /
-  /// Flush; an external driver retiring this engine mid-run (adaptive
-  /// migration) calls this first so the final snapshot is exact.
+  /// Flush; a caller reading stats mid-run calls this first so the
+  /// snapshot is exact.
   void RefreshStats() { RefreshAggregateStats(); }
   const AggPlan& agg_plan() const override { return plan_->agg; }
   std::string name() const override { return "GRETA"; }
@@ -199,7 +188,6 @@ class GretaEngine : public EngineInterface {
   Partition* GetOrCreatePartition(const std::vector<Value>& key, SeqNo upto);
   bool BroadcastMatches(const BroadcastEvent& b,
                         const std::vector<Value>& key) const;
-  void FlushBatch();
   void RefreshAggregateStats();
 
   const Catalog* catalog_;
@@ -207,7 +195,6 @@ class GretaEngine : public EngineInterface {
   EngineOptions options_;
   MemoryTracker own_memory_;
   MemoryTracker* memory_ = &own_memory_;  // EngineOptions::memory if set
-  std::unique_ptr<ThreadPool> pool_;  // null when single-threaded
 
   std::unordered_map<std::vector<Value>, std::unique_ptr<Partition>,
                      ValueVecHash, ValueVecEq>
@@ -231,10 +218,6 @@ class GretaEngine : public EngineInterface {
   size_t run_groups_used_ = 0;
   uint32_t route_epoch_ = 0;
 
-  // Micro-batch of the current timestamp (parallel mode only).
-  std::vector<Event> batch_;
-  Ts batch_ts_ = kMinTs;
-
   Ts watermark_ = kMinTs;
   bool saw_events_ = false;
   bool flushed_unbounded_ = false;
@@ -245,9 +228,9 @@ class GretaEngine : public EngineInterface {
   std::vector<std::function<void(const ResultRow&)>> result_callbacks_;
   EngineStats stats_;
 
-  // Per-window observation state: routed-event counter reset at every
-  // window close; last seen cumulative graph counters for the deltas.
-  std::deque<WindowObservation> window_obs_;
+  // Per-close deltas for QueryExecStats and telemetry: routed-event
+  // counter reset at every window close; last seen cumulative graph
+  // counters.
   std::vector<QueryExecStats> query_stats_;  // sized lazily at first close
   size_t obs_events_routed_ = 0;
   size_t obs_prev_vertices_ = 0;
@@ -280,17 +263,15 @@ class GretaEngine : public EngineInterface {
   Instruments tm_;
   // Graphs per kernel kind delivered per (event, partition): dispatch
   // counts are kernel_per_delivery_[k] * deliveries. Deliveries accumulate
-  // in a plain member on the SERIAL routing paths (never inside
-  // DeliverToPartition, which FlushBatch runs on pool threads) and flush
-  // into the registry once per window close — the per-event hot path pays
-  // one non-atomic increment, not an atomic counter update.
+  // in a plain member on the routing paths and flush into the registry
+  // once per window close — the per-event hot path pays one non-atomic
+  // increment, not an atomic counter update.
   uint64_t kernel_per_delivery_[3] = {0, 0, 0};
   uint64_t tm_deliveries_ = 0;
   uint64_t tm_prev_deliveries_ = 0;
   // Batch rows forced onto the per-event scalar schedule by negation
   // (DeliverBatchToPartition's multi-graph path never reaches the graphs'
-  // own InsertBatch tally). Counted once per (row, alternative); serial
-  // routing path only.
+  // own InsertBatch tally). Counted once per (row, alternative).
   size_t batch_negation_rows_ = 0;
   // Last flushed cumulative batch counters (summed across all graphs);
   // EmitWindow adds the delta into the registry, like kernel_dispatch.

@@ -30,8 +30,7 @@ std::string QueryReportsJson(const ShardedRuntime& runtime);
 /// One query's JSON report: observed per-query tallies (events routed,
 /// vertices created, edges traversed, rows emitted, emit time) joined with
 /// the planner's ESTIMATES — the sharing planner's per-cluster
-/// shared/independent cost and, when the adaptive loop runs, the calibrated
-/// q-hat and last cost split — so estimated-vs-observed divergence is
+/// shared/independent cost — so estimated-vs-observed divergence is
 /// visible per query. Empty string when `query_id` is out of range.
 std::string QueryReportJson(const ShardedRuntime& runtime, size_t query_id);
 

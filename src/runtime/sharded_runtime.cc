@@ -69,12 +69,8 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
   }
 
   // Emission grids and merge plans come from shard 0's compiled workload
-  // (identical on every shard). The merger gates on the emission-window
-  // BOUND: under adaptive re-planning each shard's controller may migrate
-  // a cluster between its own grid and the cluster's union grid at
-  // different times, but rows always surface no later than the union
-  // close — gating on the bound keeps the merged (window, group) order
-  // deterministic and independent of per-shard migration timing.
+  // (identical on every shard): the merger gates each query on the grid of
+  // the unit runtime that owns it.
   const Shard& shard0 = *rt->shards_[0];
   std::vector<WindowSpec> windows;
   std::vector<AggPlan> plans;
@@ -83,7 +79,7 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
       windows.push_back(shard0.greta->plan().window);
       plans.push_back(shard0.greta->agg_plan());
     } else {
-      windows.push_back(shard0.shared->emission_window_bound(q));
+      windows.push_back(shard0.shared->emission_window(q));
       plans.push_back(shard0.shared->agg_plan_for(q));
     }
   }
@@ -374,9 +370,6 @@ void ShardedRuntime::DrainLoop(size_t shard_index) {
         shard.query_stats_snapshot =
             shard.greta != nullptr ? shard.greta->query_exec_stats()
                                    : shard.shared->query_exec_stats();
-        if (shard.shared != nullptr) {
-          shard.adapt_snapshot = shard.shared->adaptation_states();
-        }
       }
     }
     // Clock and flush ack even when poisoned: a stalled shard would
@@ -443,14 +436,6 @@ size_t ShardedRuntime::RecomputeShardTrackedBytes(size_t shard) const {
                             : s.shared->RecomputeTrackedBytes();
 }
 
-std::vector<sharing::AdaptationStats> ShardedRuntime::ShardAdaptationStates(
-    size_t shard) const {
-  GRETA_CHECK(shard < shards_.size());
-  const Shard& s = *shards_[shard];
-  if (s.shared == nullptr) return {};
-  return s.shared->adaptation_states();
-}
-
 ShardedRuntime::ShardQueueStats ShardedRuntime::shard_queue_stats(
     size_t shard) const {
   GRETA_CHECK(shard < shards_.size());
@@ -498,13 +483,6 @@ std::vector<QueryExecStats> ShardedRuntime::WorkloadQueryExecStats() const {
   return total;
 }
 
-std::vector<sharing::AdaptationStats> ShardedRuntime::ShardAdaptationSnapshot(
-    size_t shard) const {
-  GRETA_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard]->snapshot_mu);
-  return shards_[shard]->adapt_snapshot;
-}
-
 const sharing::SharingPlan* ShardedRuntime::sharing_plan() const {
   const Shard& shard0 = *shards_[0];
   return shard0.shared != nullptr ? &shard0.shared->sharing_plan() : nullptr;
@@ -513,14 +491,6 @@ const sharing::SharingPlan* ShardedRuntime::sharing_plan() const {
 void ShardedRuntime::SetShardPausedForTest(size_t shard, bool paused) {
   GRETA_CHECK(shard < shards_.size());
   shards_[shard]->paused.store(paused, std::memory_order_release);
-}
-
-size_t ShardedRuntime::TotalMigrations() const {
-  size_t n = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->shared != nullptr) n += shard->shared->total_migrations();
-  }
-  return n;
 }
 
 Status ShardedRuntime::FirstShardError() const {

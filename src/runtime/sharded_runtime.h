@@ -35,10 +35,8 @@ struct ShardedOptions {
   /// keeps advancing. 0 disables heartbeats (emission then waits for batch
   /// fills and Flush).
   size_t heartbeat_events = 1024;
-  /// Per-shard workload options. `engine.num_threads` should stay 1: the
-  /// runtime's parallelism is across shards, and nested per-engine pools
-  /// would oversubscribe cores. `engine.memory` is overwritten (each shard
-  /// accounts into its own tracker, rolled up workload-wide).
+  /// Per-shard workload options. `engine.memory` is overwritten (each
+  /// shard accounts into its own tracker, rolled up workload-wide).
   sharing::SharedEngineOptions workload;
 };
 
@@ -108,19 +106,6 @@ class ShardedRuntime : public EngineInterface {
   /// next Process) — the walk is not synchronized with the shard worker.
   size_t RecomputeShardTrackedBytes(size_t shard) const;
 
-  /// Adaptation telemetry of shard `shard`'s controller (one entry per
-  /// sharing-plan cluster; see SharedWorkloadEngine::adaptation_states).
-  /// Each shard adapts independently — its controller observes only its
-  /// slice of the stream — so shards may sit in different modes; the
-  /// merged rows are identical either way. Empty for single-query
-  /// workloads (no sharing layer). Quiescent-only, like
-  /// RecomputeShardTrackedBytes.
-  std::vector<sharing::AdaptationStats> ShardAdaptationStates(
-      size_t shard) const;
-  /// Sum of applied migrations across all shards' controllers.
-  /// Quiescent-only.
-  size_t TotalMigrations() const;
-
   /// Ingest-queue pressure counters of shard `shard`, maintained inside the
   /// SPSC channel itself (readable any time, any thread).
   struct ShardQueueStats {
@@ -145,13 +130,6 @@ class ShardedRuntime : public EngineInterface {
   /// its slice, so windows_closed is the across-shard sum of closes and
   /// structural counters sum exactly like EngineStats. Thread-safe.
   std::vector<QueryExecStats> WorkloadQueryExecStats() const;
-
-  /// Adaptation telemetry snapshot of shard `shard` (worker-refreshed,
-  /// like WorkloadQueryExecStats) — the thread-safe counterpart of
-  /// ShardAdaptationStates for live scrapes. Empty for single-query
-  /// workloads.
-  std::vector<sharing::AdaptationStats> ShardAdaptationSnapshot(
-      size_t shard) const;
 
   /// The sharing plan compiled for every shard's workload runtime
   /// (immutable after Create; identical across shards), or nullptr for
@@ -199,7 +177,6 @@ class ShardedRuntime : public EngineInterface {
     // Worker-refreshed observability snapshots (guarded by snapshot_mu):
     // read by HTTP scrape threads, never by the hot path.
     std::vector<QueryExecStats> query_stats_snapshot;
-    std::vector<sharing::AdaptationStats> adapt_snapshot;
 
     // Test hook (SetShardPausedForTest): worker parks after its next pop.
     std::atomic<bool> paused{false};

@@ -1,23 +1,19 @@
 #ifndef GRETA_SHARING_SHARED_ENGINE_H_
 #define GRETA_SHARING_SHARED_ENGINE_H_
 
-#include <deque>
+#include <functional>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
-#include "sharing/adaptive_planner.h"
 #include "sharing/sharing_planner.h"
 
 namespace greta::sharing {
 
 /// Options of the shared workload runtime: the engine options are applied
 /// uniformly to every unit runtime (semantics, counter mode and window
-/// limits are workload-level properties here), the sharing options drive
-/// the initial share/no-share plan, and the adaptive options turn the
-/// plan-once pipeline into an observe -> re-plan loop (adaptive_planner.h).
+/// limits are workload-level properties here), and the sharing options
+/// drive the share/no-share plan made once at Create.
 ///
 /// `engine.memory`, when set, becomes the PARENT of the workload tracker:
 /// the workload still accounts its own point-in-time peak, and every
@@ -26,11 +22,10 @@ namespace greta::sharing {
 struct SharedEngineOptions {
   EngineOptions engine;
   SharingOptions sharing;
-  AdaptiveOptions adaptive;
-  /// Shard index stamped on this workload's telemetry series and lifecycle
-  /// traces (`{shard="i",...}` labels); sharded runtimes (src/runtime/)
-  /// pass their shard id so per-cluster gauges of different shards stay
-  /// distinct series. Single-shard callers leave it 0.
+  /// Shard index stamped on this workload's per-cluster telemetry series
+  /// (`{shard="i",...}` labels); sharded runtimes (src/runtime/) pass their
+  /// shard id so gauges of different shards stay distinct series.
+  /// Single-shard callers leave it 0.
   size_t telemetry_shard = 0;
 };
 
@@ -45,23 +40,10 @@ struct SharedEngineOptions {
 /// *partially shared* runtime (GretaEngine::CreatePartial). Clusters the
 /// cost model rejects run as dedicated per-query engines.
 ///
-/// Adaptive re-planning (options.adaptive.enabled): the plan is no longer
-/// baked in at construction. Every shareable cluster with a finite window
-/// carries an AdaptiveClusterPlanner fed from the unit runtimes' per-window
-/// observations (EngineInterface::TakeWindowObservations); when the
-/// observed rates say the other mode wins by the hysteresis margin, the
-/// cluster MIGRATES between one merged runtime and per-query dedicated
-/// runtimes. A migration never copies graph state: at decision time
-/// (watermark `T`) fresh engines are built and take over all windows
-/// starting at or after `w_split = ceil(T / slide)`, while the old engines
-/// keep running until every window starting before the boundary has closed
-/// (the parallel HANDOVER, at most union-WITHIN ticks of double
-/// processing), then retire. Rows are routed by window id — old engines
-/// own `wid < w_split`, new engines `wid >= w_split` — so results stay
-/// bit-identical to static execution; rows of a handover window may
-/// surface up to union-WITHIN ticks later than the eager engine would
-/// push them (emission_window_bound() is the grid external drivers gate
-/// deterministic emission on).
+/// The plan PlanSharing makes at Create holds for the whole stream: every
+/// query is owned by exactly one unit runtime from its first event to its
+/// last row, so each query's rows surface on that unit's window grid
+/// (emission_window()).
 ///
 /// EngineInterface contract: Process/Flush as usual; TakeResults() drains
 /// every query's rows concatenated in query order (each query's rows keep
@@ -76,10 +58,7 @@ class SharedWorkloadEngine : public EngineInterface {
   Status Flush() override;
 
   /// Watermark hook (src/runtime/): forwards to every unit runtime — see
-  /// GretaEngine::AdvanceWatermark. Also drives the adaptation loop:
-  /// observation steps complete and migrations start/retire at watermark
-  /// boundaries, so per-shard adaptation is deterministic in the shard's
-  /// event/watermark sequence.
+  /// GretaEngine::AdvanceWatermark.
   Status AdvanceWatermark(Ts now);
 
   /// All queries' pending rows, concatenated in query-id order.
@@ -88,34 +67,19 @@ class SharedWorkloadEngine : public EngineInterface {
   /// Pending rows of one query of the workload.
   std::vector<ResultRow> TakeResults(size_t query_id);
 
-  /// Workload-level per-window observations, grouped per cluster (one
-  /// block of ascending window ids per cluster): window ids are relative
-  /// to each cluster's own grid and never merged across clusters; events
-  /// are de-duplicated (max) only within a cluster, structural counters
-  /// summed.
-  std::vector<WindowObservation> TakeWindowObservations() override;
-
-  /// The latest-closing grid `query_id`'s rows can EVER be emitted on:
-  /// the unit runtime's own grid for static execution (the query's window
-  /// for dedicated and exact-shared units, the cluster's UNION window for
-  /// partial units); under adaptive re-planning, the cluster's union
-  /// window (migrations move a query between its own grid and the union
-  /// grid, never past it). External drivers (runtime/ResultMerger) gate
-  /// deterministic emission on this — there is deliberately no accessor
-  /// for the CURRENT unit's grid, which is time-varying under adaptive
-  /// mode and unsafe to gate on.
-  WindowSpec emission_window_bound(size_t query_id) const;
+  /// The window grid `query_id`'s rows are emitted on: the query's own
+  /// window for dedicated and exact-shared units, the cluster's UNION
+  /// window for partial units. External drivers (runtime/ResultMerger)
+  /// gate deterministic emission on it.
+  WindowSpec emission_window(size_t query_id) const;
 
   /// Sums RecomputeTrackedBytes over unit runtimes (accounting invariant
   /// tests; must equal memory().current_bytes() when quiescent).
   size_t RecomputeTrackedBytes() const;
 
   /// Push-style delivery for EVERY query of the workload: `callback` fires
-  /// with the workload query index for each result row the moment the
-  /// engine owning its window closes it. During a migration handover the
-  /// new engines' rows are held until the old engines retire (at most
-  /// union-WITHIN ticks), so the per-query (window, group) order is
-  /// preserved across migrations.
+  /// with the workload query index for each result row the moment the unit
+  /// runtime owning the query closes its window.
   void set_result_callback(
       std::function<void(size_t query_id, const ResultRow& row)> callback);
 
@@ -125,26 +89,14 @@ class SharedWorkloadEngine : public EngineInterface {
 
   /// Per-query EXPLAIN ANALYZE tallies for every query of the workload, in
   /// query-id order: the owning unit runtime's tallies (cluster-attributed
-  /// under sharing — see QueryExecStats) plus any in-flight handover
-  /// engine's and the retired accumulator's, so migrations never lose
-  /// observed work. O(queries); read at snapshot points, not per event.
+  /// under sharing — see QueryExecStats). O(queries); read at snapshot
+  /// points, not per event.
   std::vector<QueryExecStats> query_exec_stats() const;
 
-  /// Adaptation telemetry, one entry per plan cluster (in cluster order):
-  /// current mode, applied migrations, observed rates and cost estimates.
-  /// Clusters outside the loop (dedicated-only, unbounded windows,
-  /// adaptation disabled) report zero migrations and their static mode.
-  std::vector<AdaptationStats> adaptation_states() const;
-
-  /// Total applied migrations across all clusters.
-  size_t total_migrations() const;
-
   /// Aggregated stats: events counted once; vertices/edges/work summed
-  /// over LIVE unit runtimes plus the retired accumulator (engines retired
-  /// by migrations keep their cumulative structural work — no counters are
-  /// lost or double-counted when engines are created or retired mid-run);
-  /// peak_bytes is the true point-in-time workload peak from the shared
-  /// MemoryTracker, NOT a sum of per-unit peaks reached at different times.
+  /// over the unit runtimes; peak_bytes is the true point-in-time workload
+  /// peak from the shared MemoryTracker, NOT a sum of per-unit peaks
+  /// reached at different times.
   const EngineStats& stats() const override;
   const AggPlan& agg_plan() const override { return agg_plan_for(0); }
   std::string name() const override { return "SHARED"; }
@@ -153,53 +105,13 @@ class SharedWorkloadEngine : public EngineInterface {
   const MemoryTracker& memory() const { return memory_; }
 
  private:
-  // Aggregation of unit observations for one window-grid step: events are
-  // de-duplicated with max() (every engine of a cluster routes the same
-  // relevant events), structural counters summed.
-  struct PendingObservation {
-    size_t events = 0;
-    size_t vertices = 0;
-    size_t edges = 0;
-  };
-
-  // One plan cluster's live execution state. The engines vector holds ONE
-  // merged runtime (merged == true) or one dedicated engine per query in
-  // query_ids order; during a handover the outgoing engines live in
-  // `retiring` until every window they own has closed.
+  // One plan cluster's unit runtimes: ONE merged runtime (merged == true)
+  // or one dedicated engine per query in query_ids order.
   struct ClusterState {
-    size_t index = 0;  // position in the sharing plan (telemetry labels)
     std::vector<size_t> query_ids;
     bool merged = false;
     bool partial = false;  // merged unit built via CreatePartial
     std::vector<std::unique_ptr<GretaEngine>> engines;
-
-    // Adaptation (nullopt: cluster is outside the re-planning loop).
-    std::optional<AdaptiveClusterPlanner> planner;
-    WindowSpec bound_window;  // union window: max WITHIN, shared slide
-    bool obs_started = false;
-    WindowId next_obs_wid = 0;
-    std::unordered_map<WindowId, PendingObservation> obs_pending;
-
-    // Handover state.
-    std::vector<std::unique_ptr<GretaEngine>> retiring;
-    bool retiring_merged = false;
-    WindowId split_wid = 0;
-    Ts retire_at = kMaxTs;
-    size_t generation = 0;  // bumped per migration (callback routing)
-
-    size_t migrations = 0;
-    EngineStats retired_stats;  // cumulative counters of retired engines
-    // Per-slot EXPLAIN tallies of retired engines (query_ids order),
-    // accumulated by RetireOld alongside retired_stats.
-    std::vector<QueryExecStats> retired_query_stats;
-
-    // Per-cluster telemetry series (null when disarmed): execution mode
-    // (0 = merged, 1 = dedicated) and the calibrated cost-model
-    // coefficient, labeled {shard=,cluster=}.
-    telemetry::Gauge* tm_mode = nullptr;
-    telemetry::Gauge* tm_qhat = nullptr;
-
-    bool handover_active() const { return !retiring.empty(); }
   };
 
   struct Route {
@@ -209,47 +121,25 @@ class SharedWorkloadEngine : public EngineInterface {
 
   SharedWorkloadEngine() = default;
 
-  Status BuildClusterEngines(ClusterState* cluster, bool merged,
-                             std::vector<std::unique_ptr<GretaEngine>>* out);
-  GretaEngine* EngineFor(const ClusterState& cluster, size_t slot) const;
-  size_t EngineSlot(const ClusterState& cluster, size_t slot) const;
-  void WireCluster(ClusterState* cluster);
-  void AdaptStep(Ts now);
-  void ObserveCluster(ClusterState* cluster, Ts now);
-  Status StartMigration(ClusterState* cluster, ClusterMode target, Ts now);
-  void RetireOld(ClusterState* cluster);
-  void RecordWorkloadObservation(const WindowObservation& obs);
+  Status BuildClusterEngines(ClusterState* cluster,
+                             const std::vector<QuerySpec>& workload);
+  // The unit runtime owning `route`'s query, and the query's slot in it.
+  GretaEngine* EngineFor(const Route& route) const;
+  size_t EngineSlot(const Route& route) const;
 
   const Catalog* catalog_ = nullptr;
   SharingPlan plan_;
-  std::vector<QuerySpec> specs_;  // cloned workload (migrations recompile)
-  EngineOptions unit_options_;    // memory rewired to memory_
-  AdaptiveOptions adaptive_options_;
-  bool adaptive_enabled_ = false;
+  EngineOptions unit_options_;  // memory rewired to memory_
 
   // Declared before clusters_: the unit engines hold pointers into the
   // tracker (EngineOptions::memory, "must outlive the engine"), so it must
   // be destroyed after them.
   MemoryTracker memory_;
-  std::vector<std::unique_ptr<ClusterState>> clusters_;
+  std::vector<ClusterState> clusters_;
   std::vector<Route> routes_;
-  // Rows drained from retiring/new engines at handover completion, per
-  // query, released ahead of live-engine rows (window order preserved).
-  std::vector<std::vector<ResultRow>> holdover_;
   std::function<void(size_t, const ResultRow&)> callback_;
   size_t events_processed_ = 0;
-  Ts adapt_wake_ = kMaxTs;  // next time AdaptStep has work to do
-  bool adapt_initialized_ = false;
-  std::deque<WindowObservation> workload_obs_;
   mutable EngineStats stats_;
-
-  // Workload-level telemetry (null when disarmed): applied migrations and
-  // the planner lifecycle trace, stamped with the shard label/field.
-  telemetry::Counter* tm_migrations_ = nullptr;
-  telemetry::TraceRing* tm_trace_ = nullptr;
-  uint16_t tm_shard_ = 0;
-  void EmitClusterTrace(telemetry::TraceKind kind, const ClusterState& cluster,
-                        Ts now) const;
 };
 
 }  // namespace greta::sharing

@@ -5,9 +5,11 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -17,6 +19,12 @@
 namespace greta::telemetry {
 
 namespace {
+
+// Longest one connection may hold the single accept thread: the whole
+// request must arrive within it, and each send of the response must make
+// progress within it. A silent or trickling client is dropped after this
+// instead of wedging every later scrape (and Stop()'s join) behind it.
+constexpr std::chrono::milliseconds kConnectionTimeout{1000};
 
 std::string StatusText(int status) {
   switch (status) {
@@ -34,8 +42,8 @@ void SendAll(int fd, const std::string& data) {
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
                              MSG_NOSIGNAL);
     if (n <= 0) {
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      return;  // peer went away; scrape clients just retry
+      if (n < 0 && errno == EINTR) continue;
+      return;  // peer went away or stopped reading; scrape clients retry
     }
     off += static_cast<size_t>(n);
   }
@@ -130,11 +138,21 @@ void HttpServer::AcceptLoop() {
 }
 
 void HttpServer::HandleConnection(int fd) {
+  timeval tv{};
+  tv.tv_sec = kConnectionTimeout.count() / 1000;
+  tv.tv_usec = (kConnectionTimeout.count() % 1000) * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  const auto deadline = std::chrono::steady_clock::now() + kConnectionTimeout;
+
   // Read until the header terminator; GET requests have no body. 8 KiB is
-  // generous for "GET /path HTTP/1.1" plus scrape-client headers.
+  // generous for "GET /path HTTP/1.1" plus scrape-client headers. A recv
+  // that times out fails with EAGAIN and ends the read, and the deadline
+  // bounds a client that trickles bytes just under the per-call timeout.
   std::string req;
   char buf[2048];
-  while (req.size() < 8192 && req.find("\r\n\r\n") == std::string::npos) {
+  while (req.size() < 8192 && req.find("\r\n\r\n") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

@@ -15,8 +15,11 @@ class MetricRegistry;
 
 /// Minimal embedded HTTP/1.1 server for observability scrapes: raw POSIX
 /// sockets, one accept thread, serial request handling (scrapes are rare
-/// and cheap; there is nothing to pipeline). GET-only; anything else gets
-/// 405. Not a general web server — a /metrics-style exposition surface.
+/// and cheap; there is nothing to pipeline). Each connection gets a fixed
+/// time budget (about a second) to send its request and take the response,
+/// so an idle or slow client delays other scrapes by at most that budget.
+/// GET-only; anything else gets 405. Not a general web server — a
+/// /metrics-style exposition surface.
 ///
 /// Built-in routes (all backed by the bound MetricRegistry):
 ///   /metrics   Prometheus text exposition (ExportPrometheus)

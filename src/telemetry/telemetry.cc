@@ -52,9 +52,6 @@ const char* TraceKindName(TraceKind kind) {
     case TraceKind::kWindowClose: return "window_close";
     case TraceKind::kWatermarkAdvance: return "watermark_advance";
     case TraceKind::kPanePurge: return "pane_purge";
-    case TraceKind::kPlanDecision: return "plan_decision";
-    case TraceKind::kMigrationStart: return "migration_start";
-    case TraceKind::kMigrationFinish: return "migration_finish";
     case TraceKind::kShardStall: return "shard_stall";
   }
   return "unknown";

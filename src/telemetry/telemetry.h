@@ -225,10 +225,6 @@ enum class TraceKind : uint8_t {
   kWindowClose,       // wid, a=rows emitted, b=vertices delta
   kWatermarkAdvance,  // ts=new watermark, a=lag behind ingest clock
   kPanePurge,         // ts=purge horizon, a=tracked bytes after purge
-  kPlanDecision,      // cluster, a=current mode, b=target mode,
-                      // x=cost_merged, y=cost_dedicated (observed-calibrated)
-  kMigrationStart,    // cluster, wid=split window, a=target mode
-  kMigrationFinish,   // cluster, wid=split window
   kShardStall,        // shard, a=queue depth at stall
 };
 

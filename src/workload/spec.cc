@@ -262,7 +262,7 @@ Status ReadBool(const Json& object, const char* key, bool* out) {
 Status ReadEngine(const Json& block, EngineOptions* engine) {
   Status keys = ExpectKeys(
       block, "\"engine\"",
-      {"counter_mode", "semantics", "num_threads", "max_windows_per_event",
+      {"counter_mode", "semantics", "max_windows_per_event",
        "enable_tree_ranges", "enable_pruning", "enable_specialized_kernels"});
   if (!keys.ok()) return keys;
   if (const Json* v = block.Find("counter_mode"); v != nullptr) {
@@ -288,17 +288,14 @@ Status ReadEngine(const Json& block, EngineOptions* engine) {
           "\"skip-till-next-match\" or \"contiguous\"");
     }
   }
-  int64_t num_threads = engine->num_threads;
   int64_t max_windows = engine->max_windows_per_event;
-  Status s = ReadInt(block, "num_threads", &num_threads);
-  if (s.ok()) s = ReadInt(block, "max_windows_per_event", &max_windows);
+  Status s = ReadInt(block, "max_windows_per_event", &max_windows);
   if (s.ok()) s = ReadBool(block, "enable_tree_ranges",
                            &engine->enable_tree_ranges);
   if (s.ok()) s = ReadBool(block, "enable_pruning", &engine->enable_pruning);
   if (s.ok()) s = ReadBool(block, "enable_specialized_kernels",
                            &engine->enable_specialized_kernels);
   if (!s.ok()) return s;
-  engine->num_threads = static_cast<int>(num_threads);
   engine->max_windows_per_event = static_cast<int>(max_windows);
   return Status::Ok();
 }
@@ -314,40 +311,6 @@ Status ReadSharing(const Json& block, sharing::SharingOptions* sharing) {
   if (s.ok()) s = ReadSize(block, "min_cluster_size",
                            &sharing->min_cluster_size);
   return s;
-}
-
-Status ReadAdaptive(const Json& block, sharing::AdaptiveOptions* adaptive) {
-  Status keys = ExpectKeys(
-      block, "\"adaptive\"",
-      {"enabled", "observation_windows", "hysteresis",
-       "min_windows_between_migrations", "per_event_cost"});
-  if (!keys.ok()) return keys;
-  Status s = ReadBool(block, "enabled", &adaptive->enabled);
-  if (s.ok()) {
-    s = ReadSize(block, "observation_windows",
-                 &adaptive->observation_windows);
-  }
-  if (s.ok()) s = ReadDouble(block, "hysteresis", &adaptive->hysteresis);
-  if (s.ok()) {
-    s = ReadSize(block, "min_windows_between_migrations",
-                 &adaptive->min_windows_between_migrations);
-  }
-  if (s.ok()) s = ReadDouble(block, "per_event_cost",
-                             &adaptive->per_event_cost);
-  if (!s.ok()) return s;
-  if (adaptive->hysteresis < 1.0) {
-    return Status::InvalidArgument(
-        "workload spec: adaptive.hysteresis must be >= 1.0");
-  }
-  if (adaptive->observation_windows == 0) {
-    return Status::InvalidArgument(
-        "workload spec: adaptive.observation_windows must be >= 1");
-  }
-  if (adaptive->per_event_cost < 0.0) {
-    return Status::InvalidArgument(
-        "workload spec: adaptive.per_event_cost must be non-negative");
-  }
-  return Status::Ok();
 }
 
 Status ReadBursts(const Json& array, std::vector<BurstPhase>* bursts) {
@@ -496,8 +459,8 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json,
   }
   Status keys = ExpectKeys(
       root, "the top-level object",
-      {"name", "queries", "engine", "sharing", "adaptive", "runtime",
-       "ingest", "telemetry", "dataset"});
+      {"name", "queries", "engine", "sharing", "runtime", "ingest",
+       "telemetry", "dataset"});
   if (!keys.ok()) return keys;
 
   WorkloadSpec spec;
@@ -540,10 +503,6 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json,
   }
   if (const Json* v = root.Find("sharing"); v != nullptr) {
     Status s = ReadSharing(*v, &spec.options.sharing);
-    if (!s.ok()) return s;
-  }
-  if (const Json* v = root.Find("adaptive"); v != nullptr) {
-    Status s = ReadAdaptive(*v, &spec.options.adaptive);
     if (!s.ok()) return s;
   }
   if (const Json* v = root.Find("runtime"); v != nullptr) {

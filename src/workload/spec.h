@@ -31,17 +31,13 @@ namespace greta::workload {
 ///       "counter_mode": "exact" | "modular",
 ///       "semantics": "skip-till-any-match" | "skip-till-next-match"
 ///                    | "contiguous",
-///       "num_threads": 1, "max_windows_per_event": 64,
+///       "max_windows_per_event": 64,
 ///       "enable_tree_ranges": true, "enable_pruning": true,
 ///       "enable_specialized_kernels": true
 ///     },
 ///     "sharing": {
 ///       "enable_sharing": true, "enable_partial_sharing": true,
 ///       "min_cluster_size": 2
-///     },
-///     "adaptive": {
-///       "enabled": true, "observation_windows": 4, "hysteresis": 1.5,
-///       "min_windows_between_migrations": 8, "per_event_cost": 64.0
 ///     },
 ///     "runtime": {
 ///       "num_shards": 4, "batch_size": 256, "queue_capacity": 16,
@@ -63,11 +59,9 @@ namespace greta::workload {
 ///     }
 ///   }
 ///
-/// The "adaptive" block configures the stats-driven re-planning loop
-/// (sharing/adaptive_planner.h); "bursts" gives the stock dataset a
-/// deterministic phase schedule of per-type rate multipliers — the load
-/// shifts that trigger re-planning. "telemetry.serve" asks the driver to
-/// start the embedded observability endpoint (telemetry/http_server.h) on
+/// "bursts" gives the stock dataset a deterministic phase schedule of
+/// per-type rate multipliers. "telemetry.serve" asks the driver to start
+/// the embedded observability endpoint (telemetry/http_server.h) on
 /// "http_port" (0 = ephemeral; the driver prints the bound port).
 ///
 /// Unknown keys are rejected (typos in a workload file must not silently

@@ -51,8 +51,8 @@ struct StockConfig {
   /// Emit trading-halt events (for negation queries) with this per-second
   /// probability per company.
   double halt_probability = 0.0;
-  /// Bursty load schedule (empty: uniform rate). Drives the load shifts
-  /// that trigger adaptive re-planning (src/sharing/adaptive_planner.h).
+  /// Bursty load schedule (empty: uniform rate): deterministic phases of
+  /// per-type rate multipliers.
   std::vector<BurstPhase> bursts;
 };
 

@@ -1,7 +1,8 @@
 // Unit tests for the common substrate: values, string interning, catalogs,
 // events, streams, status, memory tracking, and the thread pool.
 
-#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "common/catalog.h"
 #include "common/event.h"
@@ -144,25 +145,34 @@ TEST(MemoryTrackerTest, TracksCurrentAndPeak) {
   EXPECT_EQ(tracker.peak_bytes(), 0u);
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+TEST(ThreadPoolTest, PinnedTasksRunOnTheirWorkerAndDrainAtDestruction) {
+  constexpr size_t kWorkers = 3;
+  constexpr size_t kTasks = 300;
+  // Worker w only ever touches seen[w], so no lock is needed; the pool's
+  // destructor runs every queued task and joins before the reads below.
+  std::vector<std::vector<std::thread::id>> seen(kWorkers);
+  {
+    ThreadPool pool(kWorkers);
+    EXPECT_EQ(pool.num_workers(), kWorkers);
+    for (size_t i = 0; i < kTasks; ++i) {
+      const size_t w = i % kWorkers;
+      pool.SubmitPinned(w, [&seen, w] {
+        seen[w].push_back(std::this_thread::get_id());
+      });
+    }
   }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 2);
+  size_t total = 0;
+  std::vector<std::thread::id> owners;
+  for (const std::vector<std::thread::id>& ids : seen) {
+    ASSERT_FALSE(ids.empty());
+    for (const std::thread::id& id : ids) EXPECT_EQ(id, ids.front());
+    owners.push_back(ids.front());
+    total += ids.size();
+  }
+  EXPECT_EQ(total, kTasks);
+  EXPECT_NE(owners[0], owners[1]);
+  EXPECT_NE(owners[1], owners[2]);
+  EXPECT_NE(owners[0], owners[2]);
 }
 
 }  // namespace

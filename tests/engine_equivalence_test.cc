@@ -16,6 +16,7 @@ namespace greta {
 namespace {
 
 using testing::MakeGreta;
+using testing::MakeShardedRuntime;
 using testing::RunEngine;
 
 std::unique_ptr<Catalog> FuzzCatalog() {
@@ -183,6 +184,8 @@ TEST_P(SemanticsEquivalence, GretaMatchesOracleUnderRestrictedSemantics) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SemanticsEquivalence,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
 
+// Parallel processing of event trend groups (Section 7) runs through the
+// sharded runtime: each shard owns the groups that hash to it.
 TEST(ParallelEngineTest, MultiThreadedGroupsMatchSingleThreaded) {
   auto catalog = FuzzCatalog();
   std::mt19937_64 rng(4242);
@@ -196,9 +199,8 @@ TEST(ParallelEngineTest, MultiThreadedGroupsMatchSingleThreaded) {
   auto serial = MakeGreta(catalog.get(), spec.Clone());
   std::vector<ResultRow> serial_rows = RunEngine(serial.get(), stream);
 
-  EngineOptions parallel_options;
-  parallel_options.num_threads = 4;
-  auto parallel = MakeGreta(catalog.get(), spec.Clone(), parallel_options);
+  auto parallel = MakeShardedRuntime(catalog.get(), spec, 4);
+  ASSERT_EQ(parallel->num_shards(), 4u);
   std::vector<ResultRow> parallel_rows = RunEngine(parallel.get(), stream);
 
   std::string diff;

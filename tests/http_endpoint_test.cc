@@ -3,9 +3,19 @@
 // stall detector's /healthz verdict flipping to 503 for a deliberately
 // wedged shard (and recovering), per-query EXPLAIN ANALYZE reports whose
 // observed structural counters must agree with EngineStats, and result
-// determinism while a scraper hammers the endpoint mid-stream.
+// determinism while a scraper hammers the endpoint mid-stream. Clients that
+// connect and then go silent, or stop half-way through the request line,
+// must not wedge later scrapes or Stop().
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,6 +60,74 @@ Stream MakeStockStream(Catalog* catalog, int rate = 50, Ts duration = 40) {
   config.duration = duration;
   config.drift = 0.3;
   return GenerateStockStream(catalog, config);
+}
+
+// Connects to the server, sends `prefix` (possibly empty) and returns the
+// still-open socket without ever completing the request.
+int ConnectStalled(uint16_t port, const std::string& prefix) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  if (!prefix.empty()) {
+    EXPECT_EQ(::send(fd, prefix.data(), prefix.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(prefix.size()));
+  }
+  // Give the accept thread time to pick this connection up first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  return fd;
+}
+
+// Runs `op` on a helper thread and reports whether it finished within
+// `limit`. On a miss, `release` unwedges the server (closes the stalled
+// client) so the helper can still be joined: the test fails, not hangs.
+bool FinishesWithin(std::chrono::milliseconds limit,
+                    const std::function<void()>& op,
+                    const std::function<void()>& release) {
+  std::future<void> done = std::async(std::launch::async, op);
+  const bool in_time = done.wait_for(limit) == std::future_status::ready;
+  if (!in_time) release();
+  done.get();
+  return in_time;
+}
+
+// A stalled client must cost later scrapes at most the server's
+// per-connection budget: /healthz still answers 200, and Stop() returns,
+// while the stalled socket stays open.
+void ExpectStalledClientIsDropped(const std::string& prefix) {
+  MetricRegistry reg;
+  HttpServer server(reg);
+  server.SetHandler("/healthz", [](const std::string&) {
+    return HttpServer::Response{200, "text/plain", "ok\n"};
+  });
+  ASSERT_TRUE(server.Start(0)) << server.error();
+  constexpr std::chrono::milliseconds kLimit{4000};
+
+  int stalled = ConnectStalled(server.port(), prefix);
+  int status = 0;
+  std::string body;
+  bool answered = false;
+  EXPECT_TRUE(FinishesWithin(
+      kLimit,
+      [&] { answered = HttpGet(server.port(), "/healthz", &status, &body); },
+      [&] { ::shutdown(stalled, SHUT_RDWR); }))
+      << "/healthz hung behind a stalled client";
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+  ::close(stalled);
+
+  stalled = ConnectStalled(server.port(), prefix);
+  EXPECT_TRUE(FinishesWithin(
+      kLimit, [&] { server.Stop(); },
+      [&] { ::shutdown(stalled, SHUT_RDWR); }))
+      << "Stop() hung behind a stalled client";
+  EXPECT_FALSE(server.serving());
+  ::close(stalled);
 }
 
 // ------------------------------------------------------------ raw server
@@ -97,6 +175,14 @@ TEST(HttpServer, ServesRegistryRoutesOnEphemeralPort) {
   ASSERT_TRUE(HttpGet(server.port(), "/metrics", &status, &body));
   EXPECT_EQ(status, 200);
   server.Stop();
+}
+
+TEST(HttpServer, SilentClientDoesNotWedgeScrapesOrStop) {
+  ExpectStalledClientIsDropped("");
+}
+
+TEST(HttpServer, HalfSentRequestLineDoesNotWedgeScrapesOrStop) {
+  ExpectStalledClientIsDropped("GET /heal");
 }
 
 TEST(HttpServer, CustomHandlersLongestPrefixWins) {

@@ -194,14 +194,15 @@ TEST(MemoryInvariant, ShardedPerShardTrackersSumIntoRollup) {
   EXPECT_GT(runtime.memory().peak_bytes(), 0u);
 }
 
-// --- adaptive migration level ---
+// --- shared workload level ---
 
-// Engines are created and RETIRED mid-run by adaptive re-planning: a
-// retired engine must release everything it charged to the workload-wide
-// tracker (pane bytes AND partition-map overhead), so the incremental
-// accounting still equals a from-scratch walk of the LIVE engines after
-// every migration, and peak_bytes stays a coherent point-in-time peak.
-TEST(MemoryInvariant, AdaptiveMigrationReleasesRetiredEngines) {
+// A window-diverse partial cluster on a bursty stream, under the static
+// sharing plan: the incremental accounting equals a from-scratch walk of
+// the unit engines at every emission, the workload tracker rolls up into a
+// caller-provided parent, and destroying the workload releases everything
+// it charged there — pane bytes AND the partition-map overhead that
+// ~GretaEngine returns to a shared tracker.
+TEST(MemoryInvariant, SharedWorkloadOnBurstyStreamReleasesAllOnDestroy) {
   auto catalog = std::make_unique<Catalog>();
   RegisterStockTypes(catalog.get());
   std::vector<QuerySpec> workload;
@@ -228,43 +229,47 @@ TEST(MemoryInvariant, AdaptiveMigrationReleasesRetiredEngines) {
   config.rate = 8;
   config.duration = 70;
   config.drift = 0.0;
-  config.bursts.push_back({20, 45, 40.0, 1.0});  // split, then re-merge
+  config.bursts.push_back({20, 45, 40.0, 1.0});
   Stream stream = GenerateStockStream(catalog.get(), config);
 
-  sharing::SharedEngineOptions options;
-  options.adaptive.enabled = true;
-  options.adaptive.observation_windows = 3;
-  options.adaptive.min_windows_between_migrations = 4;
-  options.adaptive.hysteresis = 1.2;
-  auto engine =
-      sharing::SharedWorkloadEngine::Create(catalog.get(), workload, options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  sharing::SharedWorkloadEngine& e = *engine.value();
+  MemoryTracker parent;
+  {
+    sharing::SharedEngineOptions options;
+    options.engine.memory = &parent;
+    auto engine = sharing::SharedWorkloadEngine::Create(catalog.get(),
+                                                        workload, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    sharing::SharedWorkloadEngine& e = *engine.value();
+    ASSERT_EQ(e.sharing_plan().clusters.size(), 1u);
+    ASSERT_TRUE(e.sharing_plan().clusters[0].partial);
 
-  size_t checks = 0;
-  for (const Event& ev : stream.events()) {
-    ASSERT_TRUE(e.Process(ev).ok());
-    std::vector<ResultRow> rows = e.TakeResults();
-    if (!rows.empty() || checks % 64 == 0) {
-      EXPECT_EQ(e.RecomputeTrackedBytes(), e.memory().current_bytes())
-          << "after event seq " << ev.seq << " (migrations so far: "
-          << e.total_migrations() << ")";
+    size_t checks = 0;
+    for (const Event& ev : stream.events()) {
+      ASSERT_TRUE(e.Process(ev).ok());
+      std::vector<ResultRow> rows = e.TakeResults();
+      if (!rows.empty() || checks % 64 == 0) {
+        EXPECT_EQ(e.RecomputeTrackedBytes(), e.memory().current_bytes())
+            << "after event seq " << ev.seq;
+        EXPECT_EQ(parent.current_bytes(), e.memory().current_bytes())
+            << "roll-up after event seq " << ev.seq;
+      }
+      ++checks;
     }
-    ++checks;
+    ASSERT_TRUE(e.Flush().ok());
+    EXPECT_EQ(e.RecomputeTrackedBytes(), e.memory().current_bytes())
+        << "after flush";
+    EXPECT_GE(e.memory().peak_bytes(), e.memory().current_bytes());
+    EXPECT_EQ(parent.peak_bytes(), e.memory().peak_bytes());
+    const EngineStats& stats = e.stats();
+    EXPECT_GT(stats.vertices_stored, 0u);
+    EXPECT_GT(stats.edges_traversed, 0u);
+    EXPECT_GE(stats.peak_bytes, e.memory().current_bytes());
+    // Partitions outlive their windows, so the overhead is still charged.
+    EXPECT_GT(parent.current_bytes(), 0u);
   }
-  ASSERT_TRUE(e.Flush().ok());
-  EXPECT_GE(e.total_migrations(), 2u)
-      << "test is vacuous unless engines were retired mid-run";
-  EXPECT_EQ(e.RecomputeTrackedBytes(), e.memory().current_bytes())
-      << "after flush";
-  EXPECT_GE(e.memory().peak_bytes(), e.memory().current_bytes());
-  // Workload-level stats stay coherent across retirements: the retired
-  // engines' structural work is preserved, never double-counted into a
-  // sum that shrinks when units are destroyed.
-  const EngineStats& stats = e.stats();
-  EXPECT_GT(stats.vertices_stored, 0u);
-  EXPECT_GT(stats.edges_traversed, 0u);
-  EXPECT_GE(stats.peak_bytes, e.memory().current_bytes());
+  EXPECT_EQ(parent.current_bytes(), 0u)
+      << "a destroyed workload must release every byte it charged to the "
+         "caller's tracker";
 }
 
 TEST(MemoryInvariant, TumblingWindowPurgesWholesale) {

@@ -5,7 +5,9 @@
 // across differing pattern suffixes, differing window lengths with equal
 // slide, grouping, every aggregate kind, unbounded windows, and semantics
 // (the restricted semantics fall back to unshared execution and must stay
-// equivalent too).
+// equivalent too). A window-diverse cluster on a bursty stream checks the
+// static plan end to end: merged == dedicated, sharded == single-threaded,
+// push == pull, and each query's rows in window order.
 
 #include <memory>
 #include <string>
@@ -386,6 +388,161 @@ TEST(PartialSharingEquivalenceTest, MixedExactPartialAndDedicated) {
   EXPECT_EQ(plan.clusters.size(), 3u);
   EXPECT_EQ(plan.num_shared_clusters(), 2u);
   EXPECT_EQ(NumPartialClusters(plan), 1u);
+}
+
+// --- window-diverse cluster on a bursty stream ---
+
+// Same Kleene core, predicates, keys and slide; WITHINs 2/4/8 and different
+// aggregates: exact clustering merges nothing, partial pooling merges all
+// three, and the union window (WITHIN 8) makes the merged runtime fold over
+// 4x the range of the WITHIN-2 query.
+std::vector<QuerySpec> WindowDiverseWorkload(Catalog* catalog) {
+  std::vector<QuerySpec> workload;
+  workload.push_back(Parse(
+      std::string("RETURN sector, COUNT(*), SUM(S.price) PATTERN Stock S+") +
+          kCoreTail + " WITHIN 2 seconds SLIDE 2 seconds",
+      catalog));
+  workload.push_back(Parse(
+      std::string("RETURN sector, COUNT(*), MIN(S.price) PATTERN Stock S+") +
+          kCoreTail + " WITHIN 4 seconds SLIDE 2 seconds",
+      catalog));
+  workload.push_back(Parse(
+      std::string("RETURN sector, COUNT(*), AVG(S.price) PATTERN Stock S+") +
+          kCoreTail + " WITHIN 8 seconds SLIDE 2 seconds",
+      catalog));
+  return workload;
+}
+
+// Quiet 8 ev/s, one sustained 40x burst in the middle of the stream.
+Stream BurstyStockStream(Catalog* catalog) {
+  StockConfig config;
+  config.seed = 97;
+  config.num_companies = 5;
+  config.num_sectors = 2;
+  config.rate = 8;
+  config.duration = 60;
+  config.drift = 0.0;
+  config.bursts.push_back({20, 40, 40.0, 1.0});
+  return GenerateStockStream(catalog, config);
+}
+
+void Append(std::vector<ResultRow>* out, std::vector<ResultRow> rows) {
+  out->insert(out->end(), std::make_move_iterator(rows.begin()),
+              std::make_move_iterator(rows.end()));
+}
+
+void ExpectWindowOrdered(const std::vector<ResultRow>& rows,
+                         const std::string& label) {
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_LE(rows[i - 1].wid, rows[i].wid) << label << " row " << i;
+  }
+}
+
+// Same windows, groups and exact counters, row for row; aggregate values
+// through RowsEquivalent (fp tolerance for SUM/AVG).
+void ExpectSameRows(const std::vector<ResultRow>& actual,
+                    const std::vector<ResultRow>& expected,
+                    const AggPlan& plan, const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].wid, expected[i].wid) << label << " row " << i;
+    EXPECT_EQ(actual[i].aggs.count.ToDecimal(),
+              expected[i].aggs.count.ToDecimal())
+        << label << " row " << i;
+  }
+  std::string diff;
+  EXPECT_TRUE(RowsEquivalent(actual, expected, plan, &diff))
+      << label << ": " << diff;
+}
+
+TEST(PartialSharingEquivalenceTest, WindowDiverseClusterOnBurstyStream) {
+  auto catalog = StockCatalog();
+  Stream stream = BurstyStockStream(catalog.get());
+  std::vector<QuerySpec> workload = WindowDiverseWorkload(catalog.get());
+
+  // Merged vs one dedicated engine per query.
+  auto shared = ExpectWorkloadEquivalent(catalog.get(), workload, stream);
+  ASSERT_NE(shared, nullptr);
+  ASSERT_EQ(shared->sharing_plan().clusters.size(), 1u);
+  EXPECT_EQ(NumPartialClusters(shared->sharing_plan()), 1u);
+
+  // The single-threaded merged rows are the reference for the sharded
+  // runtime, drained mid-stream so the merger's gate is crossed often.
+  auto reference = SharedWorkloadEngine::Create(catalog.get(), workload);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::vector<std::vector<ResultRow>> expected(workload.size());
+  for (const Event& e : stream.events()) {
+    ASSERT_TRUE(reference.value()->Process(e).ok());
+  }
+  ASSERT_TRUE(reference.value()->Flush().ok());
+  for (size_t q = 0; q < workload.size(); ++q) {
+    expected[q] = reference.value()->TakeResults(q);
+    EXPECT_FALSE(expected[q].empty()) << "query " << q << " is vacuous";
+  }
+
+  for (size_t shards : {1u, 4u}) {
+    runtime::ShardedOptions options;
+    options.num_shards = shards;
+    options.batch_size = 16;
+    options.heartbeat_events = 64;
+    auto rt = runtime::ShardedRuntime::Create(catalog.get(), workload,
+                                              options);
+    ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+    ASSERT_EQ(rt.value()->num_shards(), shards);
+    std::vector<std::vector<ResultRow>> rows(workload.size());
+    size_t count = 0;
+    for (const Event& e : stream.events()) {
+      ASSERT_TRUE(rt.value()->Process(e).ok());
+      if (++count % 128 == 0) {
+        for (size_t q = 0; q < workload.size(); ++q) {
+          Append(&rows[q], rt.value()->TakeResults(q));
+        }
+      }
+    }
+    ASSERT_TRUE(rt.value()->Flush().ok());
+    for (size_t q = 0; q < workload.size(); ++q) {
+      Append(&rows[q], rt.value()->TakeResults(q));
+      const std::string label =
+          "shards=" + std::to_string(shards) + " query " + std::to_string(q);
+      ExpectSameRows(rows[q], expected[q], rt.value()->agg_plan_for(q),
+                     label);
+      ExpectWindowOrdered(rows[q], label);
+    }
+  }
+}
+
+TEST(PartialSharingEquivalenceTest, BurstyPushedRowsEqualPulledRows) {
+  auto catalog = StockCatalog();
+  Stream stream = BurstyStockStream(catalog.get());
+  std::vector<QuerySpec> workload = WindowDiverseWorkload(catalog.get());
+
+  auto engine = SharedWorkloadEngine::Create(catalog.get(), workload);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<std::vector<ResultRow>> pushed(workload.size());
+  engine.value()->set_result_callback(
+      [&pushed](size_t q, const ResultRow& row) {
+        pushed[q].push_back(row);
+      });
+  // Tight pull cadence: every pull lands between window closes.
+  std::vector<std::vector<ResultRow>> pulled(workload.size());
+  size_t count = 0;
+  for (const Event& e : stream.events()) {
+    ASSERT_TRUE(engine.value()->Process(e).ok());
+    if (++count % 7 == 0) {
+      for (size_t q = 0; q < workload.size(); ++q) {
+        Append(&pulled[q], engine.value()->TakeResults(q));
+      }
+    }
+  }
+  ASSERT_TRUE(engine.value()->Flush().ok());
+  for (size_t q = 0; q < workload.size(); ++q) {
+    Append(&pulled[q], engine.value()->TakeResults(q));
+    const std::string label = "query " + std::to_string(q);
+    EXPECT_FALSE(pulled[q].empty()) << label << " is vacuous";
+    ExpectSameRows(pushed[q], pulled[q], engine.value()->agg_plan_for(q),
+                   label);
+    ExpectWindowOrdered(pulled[q], label);
+  }
 }
 
 }  // namespace

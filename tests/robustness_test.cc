@@ -14,6 +14,7 @@ namespace greta {
 namespace {
 
 using testing::MakeGreta;
+using testing::MakeShardedRuntime;
 using testing::RunEngine;
 
 std::unique_ptr<Catalog> FuzzCatalog() {
@@ -165,7 +166,9 @@ TEST_P(Robustness, TreeRangesNeverChangeResults) {
 
 TEST_P(Robustness, ParallelGroupsMatchSerialWithNegationAndBroadcast) {
   // The full combination: grouping partitions, a leading negation whose
-  // events broadcast into partitions, sliding windows, and a thread pool.
+  // events broadcast into partitions, sliding windows, and the sharded
+  // runtime's pinned workers (the negated type lacks `v`, so the router
+  // broadcasts it to every shard).
   std::mt19937_64 rng(GetParam() * 977);
   auto catalog = std::make_unique<Catalog>();
   catalog->DefineType("P", {{"v", Value::Kind::kInt},
@@ -199,9 +202,8 @@ TEST_P(Robustness, ParallelGroupsMatchSerialWithNegationAndBroadcast) {
   auto serial = MakeGreta(catalog.get(), spec.Clone());
   std::vector<ResultRow> serial_rows = RunEngine(serial.get(), stream);
 
-  EngineOptions parallel_options;
-  parallel_options.num_threads = 3;
-  auto parallel = MakeGreta(catalog.get(), spec.Clone(), parallel_options);
+  auto parallel = MakeShardedRuntime(catalog.get(), spec, 3);
+  ASSERT_EQ(parallel->num_shards(), 3u);
   std::vector<ResultRow> parallel_rows = RunEngine(parallel.get(), stream);
 
   std::string diff;

@@ -1,11 +1,10 @@
-// End-to-end telemetry over the sharded adaptive runtime: a bursty stock
-// workload on 2 shards with aggressive adaptation must leave the default
-// registry holding per-shard queue series, the watermark-lag gauge, and
-// per-shard migration counters that SUM to ShardedRuntime::TotalMigrations
-// — and the trace ring must carry the planner's decision/migration
-// lifecycle. Also covers the ShardQueueStats accessor (satellite of the
-// SPSC depth/stall instrumentation) and the registry-disabled path (no
-// series registered, identical rows).
+// End-to-end telemetry over the sharded runtime: a bursty stock workload
+// over one partial-sharing cluster on 2 shards must leave the default
+// registry holding core routing counters, per-shard queue series, the
+// watermark-lag gauge and each shard's cluster-mode gauge — and the trace
+// ring must carry window closes and watermark advances. Also covers the
+// ShardQueueStats accessor (SPSC depth/stall instrumentation) and the
+// registry-disabled path (no series registered, identical rows).
 
 #include <cstdint>
 #include <memory>
@@ -32,9 +31,9 @@ QuerySpec Parse(const std::string& text, Catalog* catalog) {
   return std::move(spec).value();
 }
 
-// Window-diverse partial-sharing cluster under a bursty stream: the same
-// shape the adaptive-sharing tests use to force mid-run re-planning.
-std::vector<QuerySpec> AdaptiveWorkload(Catalog* catalog) {
+// Window-diverse partial-sharing cluster (same Kleene core, WITHINs 2/4/8
+// at SLIDE 2), run under a bursty stream on the static sharing plan.
+std::vector<QuerySpec> PartialWorkload(Catalog* catalog) {
   const char* texts[] = {
       "RETURN sector, COUNT(*), SUM(S.price) PATTERN Stock S+ "
       "WHERE [company, sector] AND S.price > NEXT(S).price "
@@ -63,17 +62,13 @@ Stream BurstyStream(Catalog* catalog) {
   return GenerateStockStream(catalog, config);
 }
 
-std::unique_ptr<ShardedRuntime> MakeAdaptiveRuntime(
+std::unique_ptr<ShardedRuntime> MakeRuntime(
     const Catalog* catalog, const std::vector<QuerySpec>& workload,
     size_t num_shards) {
   ShardedOptions options;
   options.num_shards = num_shards;
   options.batch_size = 32;
   options.heartbeat_events = 64;
-  options.workload.adaptive.enabled = true;
-  options.workload.adaptive.observation_windows = 3;
-  options.workload.adaptive.min_windows_between_migrations = 4;
-  options.workload.adaptive.hysteresis = 1.2;
   auto rt = ShardedRuntime::Create(catalog, workload, options);
   EXPECT_TRUE(rt.ok()) << rt.status().ToString();
   return std::move(rt).value();
@@ -108,27 +103,29 @@ bool HasGauge(telemetry::MetricRegistry& reg, const std::string& name) {
 
 #if GRETA_TELEMETRY
 
-TEST(TelemetryRuntime, ShardedAdaptiveRunPopulatesAllLayers) {
+TEST(TelemetryRuntime, ShardedPartialRunPopulatesAllLayers) {
   telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
   reg.Reset();
   reg.set_enabled(true);
 
   Catalog catalog;
   RegisterStockTypes(&catalog);
-  std::vector<QuerySpec> workload = AdaptiveWorkload(&catalog);
+  std::vector<QuerySpec> workload = PartialWorkload(&catalog);
   Stream stream = BurstyStream(&catalog);
 
   constexpr size_t kShards = 2;
-  auto rt = MakeAdaptiveRuntime(&catalog, workload, kShards);
+  auto rt = MakeRuntime(&catalog, workload, kShards);
   std::vector<std::vector<ResultRow>> rows = RunAll(rt.get(), stream);
   for (size_t q = 0; q < rows.size(); ++q) {
     EXPECT_FALSE(rows[q].empty()) << "query " << q;
   }
+  const sharing::SharingPlan* plan = rt->sharing_plan();
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->clusters.size(), 1u);
+  ASSERT_TRUE(plan->clusters[0].partial);
 
-  // --- core layer: routing counters cover the delivered stream. Every
-  // event lands on exactly one shard, but dedicated-mode clusters run one
-  // engine per query and a migration handover dual-delivers, so the shared
-  // counter is a LOWER-bounded multiple of the stream size.
+  // --- core layer: routing counters cover the delivered stream (every
+  // event lands on exactly one shard's merged unit).
   EXPECT_GE(ScrapedCounter(reg, "greta_core_events_routed_total"),
             stream.size());
   EXPECT_GT(ScrapedCounter(reg, "greta_core_windows_closed_total"), 0u);
@@ -141,34 +138,19 @@ TEST(TelemetryRuntime, ShardedAdaptiveRunPopulatesAllLayers) {
   }
   EXPECT_TRUE(saw_emit_hist);
 
-  // --- sharing layer: per-shard migration counters sum to the runtime's
-  // quiescent roll-up, and every shard exports its cluster mode + q_hat.
-  size_t migrations_from_series = 0;
+  // --- sharing layer: every shard exports its cluster's execution mode
+  // (0 = merged), constant under the static plan.
   for (size_t s = 0; s < kShards; ++s) {
-    migrations_from_series += ScrapedCounter(
-        reg,
-        telemetry::Labeled("greta_sharing_migrations_total", "shard", s));
-    EXPECT_TRUE(HasGauge(reg, telemetry::Labeled("greta_sharing_cluster_mode",
-                                                 "shard", s, "cluster", 0)))
-        << "shard " << s;
-    EXPECT_TRUE(HasGauge(reg, telemetry::Labeled("greta_sharing_q_hat",
-                                                 "shard", s, "cluster", 0)))
-        << "shard " << s;
-  }
-  EXPECT_EQ(migrations_from_series, rt->TotalMigrations());
-  // The bursty workload is tuned to actually migrate (same shape as the
-  // adaptive-sharing tests); without at least one switch the sharing
-  // series above would be vacuous.
-  EXPECT_GT(rt->TotalMigrations(), 0u);
-
-  // Cross-check against the per-shard adaptation states.
-  size_t migrations_from_states = 0;
-  for (size_t s = 0; s < kShards; ++s) {
-    for (const sharing::AdaptationStats& st : rt->ShardAdaptationStates(s)) {
-      migrations_from_states += st.migrations;
+    bool found = false;
+    for (const auto& g : reg.ScrapeGauges()) {
+      if (g.name == telemetry::Labeled("greta_sharing_cluster_mode", "shard",
+                                       s, "cluster", 0)) {
+        found = true;
+        EXPECT_EQ(g.value, 0.0) << "shard " << s;
+      }
     }
+    EXPECT_TRUE(found) << "shard " << s;
   }
-  EXPECT_EQ(migrations_from_series, migrations_from_states);
 
   // --- runtime layer: per-shard queue series and the lag/hold-back gauges.
   for (size_t s = 0; s < kShards; ++s) {
@@ -196,33 +178,28 @@ TEST(TelemetryRuntime, ShardedAdaptiveRunPopulatesAllLayers) {
     EXPECT_LE(qs.depth_high_watermark, qs.capacity) << "shard " << s;
   }
 
-  // --- lifecycle trace: planner decisions and the migration handshake.
-  size_t decisions = 0, starts = 0, finishes = 0, closes = 0, watermarks = 0;
+  // --- lifecycle trace: window closes and watermark advances.
+  size_t closes = 0, watermarks = 0;
   for (const telemetry::TraceEvent& e : reg.trace().Snapshot()) {
     switch (e.kind) {
-      case telemetry::TraceKind::kPlanDecision: ++decisions; break;
-      case telemetry::TraceKind::kMigrationStart: ++starts; break;
-      case telemetry::TraceKind::kMigrationFinish: ++finishes; break;
       case telemetry::TraceKind::kWindowClose: ++closes; break;
       case telemetry::TraceKind::kWatermarkAdvance: ++watermarks; break;
       default: break;
     }
   }
-  EXPECT_GT(decisions, 0u);
-  EXPECT_GT(starts + finishes, 0u);
   EXPECT_GT(closes, 0u);
   EXPECT_GT(watermarks, 0u);
 
   // --- exporters over the live registry.
   std::string prom = telemetry::ExportPrometheus(reg);
   EXPECT_NE(prom.find("greta_core_events_routed_total"), std::string::npos);
-  EXPECT_NE(prom.find("greta_sharing_migrations_total{shard=\"0\"}"),
+  EXPECT_NE(prom.find("greta_sharing_cluster_mode{shard=\"0\",cluster=\"0\"}"),
             std::string::npos);
   EXPECT_NE(prom.find("greta_runtime_queue_depth_hwm{shard=\"1\"}"),
             std::string::npos);
   std::string json = telemetry::ExportJson(reg, /*include_trace=*/true);
   EXPECT_NE(json.find("greta_runtime_watermark_lag"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"plan_decision\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"window_close\""), std::string::npos);
 
   reg.Reset();
 }
@@ -232,17 +209,17 @@ TEST(TelemetryRuntime, DisabledRegistryRegistersNothingAndRowsMatch) {
 
   Catalog catalog;
   RegisterStockTypes(&catalog);
-  std::vector<QuerySpec> workload = AdaptiveWorkload(&catalog);
+  std::vector<QuerySpec> workload = PartialWorkload(&catalog);
   Stream stream = BurstyStream(&catalog);
 
   reg.Reset();
   reg.set_enabled(true);
-  auto on_rt = MakeAdaptiveRuntime(&catalog, workload, 2);
+  auto on_rt = MakeRuntime(&catalog, workload, 2);
   std::vector<std::vector<ResultRow>> on_rows = RunAll(on_rt.get(), stream);
 
   reg.Reset();
   reg.set_enabled(false);
-  auto off_rt = MakeAdaptiveRuntime(&catalog, workload, 2);
+  auto off_rt = MakeRuntime(&catalog, workload, 2);
   std::vector<std::vector<ResultRow>> off_rows = RunAll(off_rt.get(), stream);
 
   // Disarmed: engines cached null pointers, so nothing moved. (Names

@@ -148,10 +148,10 @@ TEST(TelemetryTraceRing, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(TelemetryTraceRing, RoundTripsPayload) {
   TraceRing ring(8);
-  ring.Emit(MakeTrace(TraceKind::kPlanDecision, 11));
+  ring.Emit(MakeTrace(TraceKind::kShardStall, 11));
   std::vector<TraceEvent> snap = ring.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].kind, TraceKind::kPlanDecision);
+  EXPECT_EQ(snap[0].kind, TraceKind::kShardStall);
   EXPECT_EQ(snap[0].shard, 3u);
   EXPECT_EQ(snap[0].cluster, 7u);
   EXPECT_EQ(snap[0].ts, 42);
@@ -294,7 +294,7 @@ TEST(TelemetryRegistry, ScrapePreservesRegistrationOrder) {
 TEST(TelemetryExporters, PrometheusTextFraming) {
   MetricRegistry reg;
   reg.GetCounter("greta_events_total")->Add(7);
-  reg.GetCounter(Labeled("greta_migrations_total", "shard", 1))->Add(2);
+  reg.GetCounter(Labeled("greta_stalls_total", "shard", 1))->Add(2);
   reg.GetGauge("greta_lag")->Set(3.5);
   Histogram* h = reg.GetHistogram("greta_ns");
   h->Record(1);
@@ -306,8 +306,8 @@ TEST(TelemetryExporters, PrometheusTextFraming) {
                       "greta_events_total 7\n"),
             std::string::npos);
   // Labeled series: TYPE line carries the base name, the sample the labels.
-  EXPECT_NE(text.find("# TYPE greta_migrations_total counter\n"
-                      "greta_migrations_total{shard=\"1\"} 2\n"),
+  EXPECT_NE(text.find("# TYPE greta_stalls_total counter\n"
+                      "greta_stalls_total{shard=\"1\"} 2\n"),
             std::string::npos);
   EXPECT_NE(text.find("greta_lag 3.5\n"), std::string::npos);
   // Histogram buckets are cumulative with le upper bounds and a +Inf cap.
@@ -324,7 +324,7 @@ TEST(TelemetryExporters, JsonEscapesLabeledNames) {
   reg.GetCounter(Labeled("greta_kernel_total", "kernel", 0))->Add(4);
   reg.GetGauge(Labeled("greta_mode", "shard", 0, "cluster", 1))->Set(1.0);
   reg.GetHistogram("greta_plain_hist")->Record(9);
-  reg.trace().Emit(MakeTrace(TraceKind::kMigrationStart, 1));
+  reg.trace().Emit(MakeTrace(TraceKind::kShardStall, 1));
 
   std::string json = ExportJson(reg, /*include_trace=*/true);
   // The raw quotes of the labeled name must be escaped in the JSON key.
@@ -333,7 +333,7 @@ TEST(TelemetryExporters, JsonEscapesLabeledNames) {
   EXPECT_NE(json.find("\"greta_mode{shard=\\\"0\\\",cluster=\\\"1\\\"}\":1"),
             std::string::npos);
   EXPECT_NE(json.find("\"trace\":[{"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"migration_start\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"shard_stall\""), std::string::npos);
   // No unescaped quote may survive inside a key: every `{` of a labeled
   // name is preceded by characters, never by a bare '"' pair mismatch —
   // cheap structural sanity: balanced braces and quotes count is even.
@@ -590,8 +590,7 @@ TEST(TelemetryTraceKinds, AllNamed) {
   for (TraceKind kind :
        {TraceKind::kNone, TraceKind::kWindowClose,
         TraceKind::kWatermarkAdvance, TraceKind::kPanePurge,
-        TraceKind::kPlanDecision, TraceKind::kMigrationStart,
-        TraceKind::kMigrationFinish, TraceKind::kShardStall}) {
+        TraceKind::kShardStall}) {
     EXPECT_NE(std::string(TraceKindName(kind)), "");
   }
 }

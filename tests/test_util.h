@@ -10,6 +10,7 @@
 #include "common/stream.h"
 #include "core/engine.h"
 #include "gtest/gtest.h"
+#include "runtime/sharded_runtime.h"
 
 namespace greta::testing {
 
@@ -83,6 +84,20 @@ inline std::unique_ptr<GretaEngine> MakeGreta(
   auto engine = GretaEngine::Create(catalog, spec, options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).value();
+}
+
+/// Builds a single-query ShardedRuntime over `num_shards` shards (the
+/// runtime's parallel path: partition groups run on pinned shard workers)
+/// or fails the test.
+inline std::unique_ptr<runtime::ShardedRuntime> MakeShardedRuntime(
+    const Catalog* catalog, const QuerySpec& spec, size_t num_shards) {
+  std::vector<QuerySpec> workload;
+  workload.push_back(spec.Clone());
+  runtime::ShardedOptions options;
+  options.num_shards = num_shards;
+  auto rt = runtime::ShardedRuntime::Create(catalog, workload, options);
+  EXPECT_TRUE(rt.ok()) << rt.status().ToString();
+  return std::move(rt).value();
 }
 
 /// Builds a SASE (oracle) engine or fails the test.

@@ -25,13 +25,6 @@ constexpr char kFullSpec[] = R"({
     "max_windows_per_event": 32
   },
   "sharing": {"enable_sharing": true, "min_cluster_size": 2},
-  "adaptive": {
-    "enabled": true,
-    "observation_windows": 6,
-    "hysteresis": 1.4,
-    "min_windows_between_migrations": 10,
-    "per_event_cost": 32.0
-  },
   "runtime": {
     "num_shards": 4,
     "batch_size": 128,
@@ -68,15 +61,9 @@ TEST(WorkloadSpec, ParsesFullSpec) {
   EXPECT_EQ(w.runtime.batch_size, 128u);
   EXPECT_EQ(w.runtime.queue_capacity, 8u);
   EXPECT_EQ(w.runtime.heartbeat_events, 512u);
-  // The runtime block embeds the engine/sharing/adaptive options: one
-  // source of truth for every executor.
+  // The runtime block embeds the engine/sharing options: one source of
+  // truth for every executor.
   EXPECT_EQ(w.runtime.workload.engine.counter_mode, CounterMode::kModular);
-  EXPECT_TRUE(w.options.adaptive.enabled);
-  EXPECT_EQ(w.options.adaptive.observation_windows, 6u);
-  EXPECT_DOUBLE_EQ(w.options.adaptive.hysteresis, 1.4);
-  EXPECT_EQ(w.options.adaptive.min_windows_between_migrations, 10u);
-  EXPECT_DOUBLE_EQ(w.options.adaptive.per_event_cost, 32.0);
-  EXPECT_TRUE(w.runtime.workload.adaptive.enabled);
   EXPECT_EQ(w.ingest.batch_size, 64u);
   EXPECT_TRUE(w.ingest.sort_within_batch);
   ASSERT_TRUE(w.stock.has_value());
@@ -156,29 +143,6 @@ TEST(WorkloadSpec, RejectsUnknownKeysAndBadValues) {
           .ok());
   EXPECT_FALSE(workload::ParseWorkloadSpec("{", &catalog).ok());
   EXPECT_FALSE(workload::ParseWorkloadSpec("{} trailing", &catalog).ok());
-  // Strict keys and value validation of the adaptive block.
-  EXPECT_FALSE(workload::ParseWorkloadSpec(
-                   R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"enable": true}})",
-                   &catalog)
-                   .ok())
-      << "typo'd adaptive key must be rejected";
-  EXPECT_FALSE(workload::ParseWorkloadSpec(
-                   R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"hysteresis": 0.5}})",
-                   &catalog)
-                   .ok());
-  EXPECT_FALSE(workload::ParseWorkloadSpec(
-                   R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"observation_windows": 0}})",
-                   &catalog)
-                   .ok());
-  EXPECT_FALSE(workload::ParseWorkloadSpec(
-                   R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"per_event_cost": -64.0}})",
-                   &catalog)
-                   .ok())
-      << "a negative per-event cost would invert the cost comparison";
   // Burst phases: strict keys, sane ranges.
   EXPECT_FALSE(workload::ParseWorkloadSpec(
                    R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
@@ -199,6 +163,35 @@ TEST(WorkloadSpec, RejectsUnknownKeysAndBadValues) {
                                                "stock_multiplier": -1.0}]}})",
                    &catalog)
                    .ok());
+}
+
+TEST(WorkloadSpec, RetiredKeysAreRejectedByName) {
+  // The sharing plan is static and parallelism comes only from the sharded
+  // runtime: a spec still carrying the re-planning block or a per-engine
+  // thread count must fail loudly, naming the key, not run as if it took
+  // effect.
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  auto adaptive = workload::ParseWorkloadSpec(
+      R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
+          "adaptive": {"enabled": true}})",
+      &catalog);
+  ASSERT_FALSE(adaptive.ok());
+  EXPECT_EQ(adaptive.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(adaptive.status().message().find("'adaptive'"), std::string::npos)
+      << adaptive.status().ToString();
+
+  auto threads = workload::ParseWorkloadSpec(
+      R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
+          "engine": {"num_threads": 4}})",
+      &catalog);
+  ASSERT_FALSE(threads.ok());
+  EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(threads.status().message().find("'num_threads'"),
+            std::string::npos)
+      << threads.status().ToString();
+  EXPECT_NE(threads.status().message().find("\"engine\""), std::string::npos)
+      << threads.status().ToString();
 }
 
 TEST(WorkloadSpec, TelemetryBlockParsesStrictly) {
